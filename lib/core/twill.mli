@@ -181,7 +181,8 @@ val comm_summarize : ?opts:options -> Ir.modul -> comm_summary
     and runtime primitives elaborated under {!Vsim}) against the
     cycle-accurate [rtsim] reference, checking that both observe the same
     return value and print trace.  [engine] forces the Vsim scheduling
-    engine (default: levelized with automatic fixpoint fallback).  [vcd]
+    engine (default: compiled, with automatic fixpoint fallback on a
+    combinational cycle).  [vcd]
     dumps one waveform per RTL instance under that path prefix.
     @raise Twill_vsim.Cosim.Cosim_error on a stuck co-simulation. *)
 val cosim :

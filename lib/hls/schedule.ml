@@ -414,8 +414,11 @@ let schedule ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
    physical key can never serve a stale schedule for mutated code — the
    invalidation rule is simply "schedule only after the function stopped
    changing", which every caller (simulator, area accounting, RTL
-   emission) already satisfies.  Guarded by a mutex: scenario evaluation
-   runs in parallel domains. *)
+   emission) already satisfies.  The table is an ephemeron table: an
+   entry lives exactly as long as its [func] is reachable from elsewhere,
+   so a long-running process (fuzz campaign, DSE sweep, twilld) keeps no
+   dead module alive and needs no size bound.  Guarded by a mutex:
+   scenario evaluation runs in parallel domains. *)
 module Func_key = struct
   type t = func
 
@@ -423,7 +426,7 @@ module Func_key = struct
   let hash (f : func) = Hashtbl.hash f.name
 end
 
-module Func_tbl = Hashtbl.Make (Func_key)
+module Func_tbl = Ephemeron.K1.Make (Func_key)
 
 type cache_entry = {
   eres : resources;
@@ -439,10 +442,6 @@ type cache_entry = {
 
 let cache : cache_entry list ref Func_tbl.t = Func_tbl.create 256
 let cache_mutex = Mutex.create ()
-
-(* Modules are small (tens of functions); the bound only protects
-   pathological long-running sweeps from unbounded growth. *)
-let cache_bound = 4096
 
 let clear_cache () =
   Mutex.lock cache_mutex;
@@ -473,7 +472,6 @@ let cached ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
       let s = schedule ~res ~modulo ~backend ?banking f in
       let e = { eres = res; emodulo = modulo; ebackend = backend; ebanks; esched = s } in
       Mutex.lock cache_mutex;
-      (if Func_tbl.length cache > cache_bound then Func_tbl.reset cache);
       (match Func_tbl.find_opt cache f with
       | Some l -> l := e :: !l
       | None -> Func_tbl.replace cache f (ref [ e ]));

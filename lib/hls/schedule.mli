@@ -90,9 +90,12 @@ val cached :
   func -> t
 (** Like {!schedule}, but memoized across calls in a process-wide,
     mutex-guarded cache keyed by function *identity* (physical equality)
-    and the scheduling configuration.  Safe because transforms produce
-    fresh [func] values rather than reusing scheduled instances; callers
-    must only schedule functions that are done being mutated.  Banking
+    and the scheduling configuration.  Entries are held through
+    ephemerons: one lives only as long as its function is reachable
+    elsewhere, so the cache never keeps a dead module alive.  Safe
+    because transforms produce fresh [func] values rather than reusing
+    scheduled instances; callers must only schedule functions that are
+    done being mutated.  Banking
     is keyed by its bank count alone — the bank map is a pure function
     of the module and the count, and the physical key pins the module
     version.  Used by the runtime simulator, the area accounting and the

@@ -121,16 +121,19 @@ let succs_of_term = function
 
 let succs f bid = succs_of_term (block f bid).term
 
+(* Predecessor lists are built aside and each block's list is stored
+   once, so a domain reading [preds] while another recomputes an
+   unchanged CFG sees either the old or the new list, both equal, never a
+   cleared or half-built one.  Blocks are visited last to first and
+   prepended, so each list is in predecessor order; [succs_of_term]
+   lists a successor once, so no predecessor repeats. *)
 let recompute_cfg f =
-  Vec.iter (fun b -> b.preds <- []) f.blocks;
-  Vec.iter
-    (fun b ->
-      List.iter
-        (fun s ->
-          let sb = block f s in
-          if not (List.mem b.bid sb.preds) then sb.preds <- sb.preds @ [ b.bid ])
-        (succs_of_term b.term))
-    f.blocks
+  let acc = Array.make (Vec.length f.blocks) [] in
+  for p = Vec.length f.blocks - 1 downto 0 do
+    let b = block f p in
+    List.iter (fun s -> acc.(s) <- b.bid :: acc.(s)) (succs_of_term b.term)
+  done;
+  Vec.iteri (fun s b -> b.preds <- acc.(s)) f.blocks
 
 (* Operands read by an instruction, in evaluation order. *)
 let operands_of_kind = function

@@ -480,7 +480,15 @@ let run_threaded ?config ?engine ?(fuel_cycles = 2_000_000) ?vcd
         instances := (Printf.sprintf "t%d_%s" s name, i) :: !instances
       end)
     t.Dswp.stages;
-  let qinst : (int, qh) Hashtbl.t = Hashtbl.create 8 in
+  (* indexed by qid, built once: the bus model looks a queue up on every
+     cycle an operation on it is pending; merged queues stay [None] *)
+  let qinst : qh option array =
+    Array.make
+      (Array.fold_left
+         (fun m (q : Threadgen.queue_info) -> max m (q.Threadgen.qid + 1))
+         0 t.Dswp.queues)
+      None
+  in
   Array.iter
     (fun (q : Threadgen.queue_info) ->
       (* merged channels have no operations left (the comm optimizer
@@ -492,8 +500,8 @@ let run_threaded ?config ?engine ?(fuel_cycles = 2_000_000) ?vcd
           ~overrides:[ ("WIDTH", q.Threadgen.width_bits); ("DEPTH", depth) ]
           design "twill_queue"
       in
-      Hashtbl.replace qinst q.Threadgen.qid
-        {
+      qinst.(q.Threadgen.qid) <-
+        Some {
           qi = i;
           q_depth = depth;
           q_gv = Vsim.handle i "give_valid";
@@ -543,7 +551,7 @@ let run_threaded ?config ?engine ?(fuel_cycles = 2_000_000) ?vcd
         else base
   in
   let queue_of qid =
-    match Hashtbl.find_opt qinst qid with
+    match if qid >= 0 && qid < Array.length qinst then qinst.(qid) else None with
     | Some i -> i
     | None -> fail "operation on unknown queue %d" qid
   in

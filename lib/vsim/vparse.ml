@@ -2,7 +2,14 @@
    The grammar mirrors what Vemit/Vruntime print — ANSI module headers,
    reg/wire declarations (with vectors and memories), assign, single-clock
    always blocks, if/case/for, and named-port instantiation with parameter
-   overrides.  Everything else is a Parse_error with a line number. *)
+   overrides.  Everything else is a Parse_error with a line number.
+
+   The lexer is streamed: the parser holds exactly one current token in
+   its mutable state and [advance] scans the next one on demand, so no
+   token list or array is built.  Tokens are unboxed into the state's
+   fields (kind, symbol code, identifier span, literal value), so looking
+   at or consuming a token allocates nothing; an identifier is copied out
+   of the source only when the parser keeps it. *)
 
 exception Parse_error of string * int
 
@@ -60,9 +67,69 @@ type modul = {
 
 type design = modul list
 
+(* --- tokens -------------------------------------------------------------- *)
+
+(* token kinds *)
+let k_eof = 0
+let k_id = 1
+let k_num = 2
+let k_sym = 3
+
+(* symbol codes index [sym_name], which spells them, and [prec], which
+   ranks the binary operators (0 = not one); only the codes the parser
+   names are bound *)
+let s_lparen = 0
+let s_rparen = 1
+let s_lbrack = 2
+let s_rbrack = 3
+let s_lbrace = 4
+let s_rbrace = 5
+let s_hash = 6
+let s_at = 7
+let s_dot = 8
+let s_comma = 9
+let s_semi = 10
+let s_colon = 11
+let s_quest = 12
+let s_assign = 13
+let s_bang = 14
+let s_tilde = 15
+let s_lor = 16
+let s_land = 17
+let s_eq = 21
+let s_ne = 22
+let s_le = 24
+let s_ge = 26
+let s_shl = 27
+let s_shr = 28
+let s_ashr = 29
+let s_minus = 31
+
+let sym_name =
+  [| "("; ")"; "["; "]"; "{"; "}"; "#"; "@"; "."; ","; ";"; ":"; "?"; "=";
+     "!"; "~"; "||"; "&&"; "|"; "^"; "&"; "=="; "!="; "<"; "<="; ">"; ">=";
+     "<<"; ">>"; ">>>"; "+"; "-"; "*"; "/"; "%" |]
+
+let prec =
+  [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 1; 2; 3; 4; 5; 6; 6;
+     7; 7; 7; 7; 8; 8; 8; 9; 9; 10; 10; 10 |]
+
 (* --- lexer --------------------------------------------------------------- *)
 
-type tok = Tid of string | Tnum of int * int * bool | Tsym of string
+type st = {
+  src : string;
+  n : int;
+  mutable i : int;  (** scan offset, just past the current token *)
+  mutable line : int;  (** line at [i] *)
+  mutable kind : int;  (** current token *)
+  mutable tline : int;  (** its line; at end of input, the last token's *)
+  mutable sym : int;
+  mutable id_off : int;
+  mutable id_len : int;
+  mutable num_v : int;
+  mutable num_w : int;
+  mutable num_s : bool;
+}
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
@@ -70,265 +137,299 @@ let is_ident_start c =
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
-let lex (src : string) : (tok * int) array =
-  let n = String.length src in
-  let out = ref [] in
-  let line = ref 1 in
-  let i = ref 0 in
-  let push t = out := (t, !line) :: !out in
-  let digits_of base =
-    (* reads [0-9a-fA-F_]+ in the given base, returns the value *)
-    let v = ref 0 in
-    let any = ref false in
-    let ok = ref true in
-    while
-      !ok && !i < n
-      &&
-      let c = src.[!i] in
-      is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') || c = '_'
-    do
-      let c = src.[!i] in
-      if c = '_' then incr i
-      else begin
-        let d =
-          if is_digit c then Char.code c - Char.code '0'
-          else if c >= 'a' && c <= 'f' then Char.code c - Char.code 'a' + 10
-          else Char.code c - Char.code 'A' + 10
-        in
-        if d >= base then ok := false
-        else begin
-          v := (!v * base) + d;
-          any := true;
-          incr i
-        end
-      end
-    done;
-    if not !any then raise (Parse_error ("malformed numeric literal", !line));
-    !v
-  in
-  while !i < n do
-    let c = src.[!i] in
-    if c = '\n' then begin
-      incr line;
-      incr i
-    end
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '/' then
-      while !i < n && src.[!i] <> '\n' do
-        incr i
-      done
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '*' then begin
-      i := !i + 2;
-      while !i + 1 < n && not (src.[!i] = '*' && src.[!i + 1] = '/') do
-        if src.[!i] = '\n' then incr line;
-        incr i
-      done;
-      i := !i + 2
-    end
-    else if is_ident_start c then begin
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        incr i
-      done;
-      push (Tid (String.sub src start (!i - start)))
-    end
-    else if is_digit c then begin
-      let v = digits_of 10 in
-      if !i < n && src.[!i] = '\'' then begin
-        (* sized literal: <width>'[s]<base><digits>, possibly negative *)
-        incr i;
-        let signed = !i < n && (src.[!i] = 's' || src.[!i] = 'S') in
-        if signed then incr i;
-        let base =
-          if !i >= n then raise (Parse_error ("truncated literal", !line))
-          else
-            match src.[!i] with
-            | 'b' | 'B' -> 2
-            | 'o' | 'O' -> 8
-            | 'd' | 'D' -> 10
-            | 'h' | 'H' -> 16
-            | c ->
-                raise
-                  (Parse_error
-                     (Printf.sprintf "bad literal base '%c'" c, !line))
-        in
-        incr i;
-        let neg = !i < n && src.[!i] = '-' in
-        if neg then incr i;
-        let mag = digits_of base in
-        push (Tnum ((if neg then -mag else mag), v, signed))
-      end
-      else push (Tnum (v, 0, true))
-    end
+(* reads [0-9a-fA-F_]+ in the given base, returns the value *)
+let digits_of st base =
+  let src = st.src and n = st.n in
+  let v = ref 0 in
+  let any = ref false in
+  let ok = ref true in
+  while
+    !ok && st.i < n
+    &&
+    let c = src.[st.i] in
+    is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') || c = '_'
+  do
+    let c = src.[st.i] in
+    if c = '_' then st.i <- st.i + 1
     else begin
-      let two = if !i + 1 < n then String.sub src !i 2 else "" in
-      let three = if !i + 2 < n then String.sub src !i 3 else "" in
-      if three = ">>>" then begin
-        push (Tsym ">>>");
-        i := !i + 3
+      let d =
+        if is_digit c then Char.code c - Char.code '0'
+        else if c >= 'a' && c <= 'f' then Char.code c - Char.code 'a' + 10
+        else Char.code c - Char.code 'A' + 10
+      in
+      if d >= base then ok := false
+      else begin
+        v := (!v * base) + d;
+        any := true;
+        st.i <- st.i + 1
       end
-      else if
-        List.mem two [ "<="; ">="; "=="; "!="; "&&"; "||"; "<<"; ">>" ]
-      then begin
-        push (Tsym two);
-        i := !i + 2
-      end
-      else if String.contains "()[]{}#@.,;:?+-*/%&|^!~<>=" c then begin
-        push (Tsym (String.make 1 c));
-        incr i
-      end
-      else
-        raise (Parse_error (Printf.sprintf "stray character '%c'" c, !line))
     end
   done;
-  Array.of_list (List.rev !out)
+  if not !any then raise (Parse_error ("malformed numeric literal", st.line));
+  !v
+
+let lex_number st =
+  let src = st.src and n = st.n in
+  let v = digits_of st 10 in
+  if st.i < n && src.[st.i] = '\'' then begin
+    (* sized literal: <width>'[s]<base><digits>, possibly negative *)
+    st.i <- st.i + 1;
+    let signed = st.i < n && (src.[st.i] = 's' || src.[st.i] = 'S') in
+    if signed then st.i <- st.i + 1;
+    let base =
+      if st.i >= n then raise (Parse_error ("truncated literal", st.line))
+      else
+        match src.[st.i] with
+        | 'b' | 'B' -> 2
+        | 'o' | 'O' -> 8
+        | 'd' | 'D' -> 10
+        | 'h' | 'H' -> 16
+        | c ->
+            raise
+              (Parse_error (Printf.sprintf "bad literal base '%c'" c, st.line))
+    in
+    st.i <- st.i + 1;
+    let neg = st.i < n && src.[st.i] = '-' in
+    if neg then st.i <- st.i + 1;
+    let mag = digits_of st base in
+    st.num_v <- (if neg then -mag else mag);
+    st.num_w <- v;
+    st.num_s <- signed
+  end
+  else begin
+    st.num_v <- v;
+    st.num_w <- 0;
+    st.num_s <- true
+  end
+
+(* one-character symbols by character code, -1 elsewhere *)
+let single_sym =
+  let t = Array.make 256 (-1) in
+  Array.iteri
+    (fun code s -> if String.length s = 1 then t.(Char.code s.[0]) <- code)
+    sym_name;
+  t
+
+let two_sym c c1 =
+  match (c, c1) with
+  | '<', '=' -> s_le
+  | '>', '=' -> s_ge
+  | '=', '=' -> s_eq
+  | '!', '=' -> s_ne
+  | '&', '&' -> s_land
+  | '|', '|' -> s_lor
+  | '<', '<' -> s_shl
+  | '>', '>' -> s_shr
+  | _ -> -1
+
+let lex_sym st c =
+  let src = st.src and n = st.n and i = st.i in
+  if c = '>' && i + 2 < n && src.[i + 1] = '>' && src.[i + 2] = '>' then begin
+    st.sym <- s_ashr;
+    st.i <- i + 3
+  end
+  else
+    let two = if i + 1 < n then two_sym c src.[i + 1] else -1 in
+    if two >= 0 then begin
+      st.sym <- two;
+      st.i <- i + 2
+    end
+    else
+      let one = single_sym.(Char.code c) in
+      if one >= 0 then begin
+        st.sym <- one;
+        st.i <- i + 1
+      end
+      else
+        raise (Parse_error (Printf.sprintf "stray character '%c'" c, st.line))
+
+(* Scans the next token into [st], skipping blanks and comments. *)
+let rec advance st =
+  let src = st.src and n = st.n in
+  if st.i >= n then st.kind <- k_eof
+  else
+    let c = src.[st.i] in
+    if c = '\n' then begin
+      st.line <- st.line + 1;
+      st.i <- st.i + 1;
+      advance st
+    end
+    else if c = ' ' || c = '\t' || c = '\r' then begin
+      st.i <- st.i + 1;
+      advance st
+    end
+    else if c = '/' && st.i + 1 < n && src.[st.i + 1] = '/' then begin
+      while st.i < n && src.[st.i] <> '\n' do
+        st.i <- st.i + 1
+      done;
+      advance st
+    end
+    else if c = '/' && st.i + 1 < n && src.[st.i + 1] = '*' then begin
+      st.i <- st.i + 2;
+      while st.i + 1 < n && not (src.[st.i] = '*' && src.[st.i + 1] = '/') do
+        if src.[st.i] = '\n' then st.line <- st.line + 1;
+        st.i <- st.i + 1
+      done;
+      st.i <- st.i + 2;
+      advance st
+    end
+    else begin
+      st.tline <- st.line;
+      if is_ident_start c then begin
+        let start = st.i in
+        while st.i < n && is_ident_char src.[st.i] do
+          st.i <- st.i + 1
+        done;
+        st.id_off <- start;
+        st.id_len <- st.i - start;
+        st.kind <- k_id
+      end
+      else if is_digit c then begin
+        lex_number st;
+        st.kind <- k_num
+      end
+      else begin
+        lex_sym st c;
+        st.kind <- k_sym
+      end
+    end
 
 (* --- parser -------------------------------------------------------------- *)
 
-type st = { toks : (tok * int) array; mutable pos : int }
+(* A lexical error anywhere in the source wins over a syntax error, as it
+   would if the whole source were tokenised before parsing: the rest of
+   the input is scanned before the syntax error is raised. *)
+let fail st msg =
+  let line = st.tline in
+  while st.kind <> k_eof do
+    advance st
+  done;
+  raise (Parse_error (msg, line))
 
-let line_at st =
-  if st.pos < Array.length st.toks then snd st.toks.(st.pos)
-  else if Array.length st.toks = 0 then 1
-  else snd st.toks.(Array.length st.toks - 1)
+let fail_at st msg =
+  if st.kind = k_eof then fail st "unexpected end of input" else fail st msg
 
-let fail st msg = raise (Parse_error (msg, line_at st))
+let at_sym st s = st.kind = k_sym && st.sym = s
 
-let peek st =
-  if st.pos < Array.length st.toks then Some (fst st.toks.(st.pos)) else None
+let rec same_from src off k j =
+  j = String.length k
+  || (String.unsafe_get src (off + j) = String.unsafe_get k j
+     && same_from src off k (j + 1))
 
-let peek2 st =
-  if st.pos + 1 < Array.length st.toks then Some (fst st.toks.(st.pos + 1))
-  else None
-
-let next st =
-  match peek st with
-  | Some t ->
-      st.pos <- st.pos + 1;
-      t
-  | None -> fail st "unexpected end of input"
+(* compares the identifier in place: no substring is made *)
+let at_kw st k =
+  st.kind = k_id && st.id_len = String.length k && same_from st.src st.id_off k 0
 
 let eat_sym st s =
-  match next st with
-  | Tsym s' when s' = s -> ()
-  | _ ->
-      st.pos <- st.pos - 1;
-      fail st (Printf.sprintf "expected '%s'" s)
+  if at_sym st s then advance st
+  else fail_at st (Printf.sprintf "expected '%s'" sym_name.(s))
 
 let eat_kw st k =
-  match next st with
-  | Tid k' when k' = k -> ()
-  | _ ->
-      st.pos <- st.pos - 1;
-      fail st (Printf.sprintf "expected '%s'" k)
+  if at_kw st k then advance st else fail_at st (Printf.sprintf "expected '%s'" k)
 
 let ident st =
-  match next st with
-  | Tid s -> s
-  | _ ->
-      st.pos <- st.pos - 1;
-      fail st "expected identifier"
+  if st.kind = k_id then begin
+    let s = String.sub st.src st.id_off st.id_len in
+    advance st;
+    s
+  end
+  else fail_at st "expected identifier"
 
-let at_sym st s = match peek st with Some (Tsym s') -> s' = s | _ -> false
-let at_kw st k = match peek st with Some (Tid k') -> k' = k | _ -> false
+(* Whether the token after the current one is ')', ',' or the end of
+   input.  Scans it on a copy of the state. *)
+let next_closes_list st =
+  let la = { st with i = st.i } in
+  advance la;
+  la.kind = k_eof || (la.kind = k_sym && (la.sym = s_rparen || la.sym = s_comma))
 
-(* expression precedence climbing *)
-let rec expr st = ternary st
-
-and ternary st =
-  let c = p_or st in
-  if at_sym st "?" then begin
-    ignore (next st);
-    let a = ternary st in
-    eat_sym st ":";
-    let b = ternary st in
+(* expression precedence climbing: every binary operator is
+   left-associative, [prec] ranks them from '||' (1) to '*' (10) *)
+let rec expr st =
+  let c = binary st 1 in
+  if at_sym st s_quest then begin
+    advance st;
+    let a = expr st in
+    eat_sym st s_colon;
+    let b = expr st in
     Ternary (c, a, b)
   end
   else c
 
-and p_or st = binl st [ "||" ] p_and
-and p_and st = binl st [ "&&" ] p_bor
-and p_bor st = binl st [ "|" ] p_bxor
-and p_bxor st = binl st [ "^" ] p_band
-and p_band st = binl st [ "&" ] p_eq
-and p_eq st = binl st [ "=="; "!=" ] p_rel
-and p_rel st = binl st [ "<"; "<="; ">"; ">=" ] p_shift
-and p_shift st = binl st [ "<<"; ">>"; ">>>" ] p_add
-and p_add st = binl st [ "+"; "-" ] p_mul
-and p_mul st = binl st [ "*"; "/"; "%" ] p_unary
-
-and binl st ops sub =
-  let a = ref (sub st) in
-  let continue = ref true in
-  while !continue do
-    match peek st with
-    | Some (Tsym s) when List.mem s ops ->
-        ignore (next st);
-        a := Binop (s, !a, sub st)
-    | _ -> continue := false
+and binary st min =
+  let a = ref (unary st) in
+  while st.kind = k_sym && prec.(st.sym) >= min do
+    let op = st.sym in
+    advance st;
+    a := Binop (sym_name.(op), !a, binary st (prec.(op) + 1))
   done;
   !a
 
-and p_unary st =
-  match peek st with
-  | Some (Tsym "-") ->
-      ignore (next st);
-      Unop ("-", p_unary st)
-  | Some (Tsym "!") ->
-      ignore (next st);
-      Unop ("!", p_unary st)
-  | Some (Tsym "~") ->
-      ignore (next st);
-      Unop ("~", p_unary st)
-  | _ -> primary st
+and unary st =
+  if
+    st.kind = k_sym
+    && (st.sym = s_minus || st.sym = s_bang || st.sym = s_tilde)
+  then begin
+    let op = st.sym in
+    advance st;
+    Unop (sym_name.(op), unary st)
+  end
+  else primary st
 
 and primary st =
-  match next st with
-  | Tnum (v, w, s) -> Num (v, w, s)
-  | Tsym "(" ->
+  if st.kind = k_num then begin
+    let e = Num (st.num_v, st.num_w, st.num_s) in
+    advance st;
+    e
+  end
+  else if at_sym st s_lparen then begin
+    advance st;
+    let e = expr st in
+    eat_sym st s_rparen;
+    e
+  end
+  else if at_sym st s_lbrace then begin
+    advance st;
+    let rec go acc =
       let e = expr st in
-      eat_sym st ")";
-      e
-  | Tsym "{" ->
-      let rec go acc =
-        let e = expr st in
-        if at_sym st "," then begin
-          ignore (next st);
-          go (e :: acc)
-        end
-        else begin
-          eat_sym st "}";
-          List.rev (e :: acc)
-        end
-      in
-      Concat (go [])
-  | Tid f when String.length f > 0 && f.[0] = '$' ->
-      eat_sym st "(";
-      let e = expr st in
-      eat_sym st ")";
-      Sysfun (f, e)
-  | Tid x ->
-      if at_sym st "[" then begin
-        ignore (next st);
-        let e = expr st in
-        eat_sym st "]";
-        Index (x, e)
+      if at_sym st s_comma then begin
+        advance st;
+        go (e :: acc)
       end
-      else Id x
-  | _ ->
-      st.pos <- st.pos - 1;
-      fail st "expected expression"
+      else begin
+        eat_sym st s_rbrace;
+        List.rev (e :: acc)
+      end
+    in
+    Concat (go [])
+  end
+  else if st.kind = k_id then begin
+    let x = ident st in
+    if x.[0] = '$' then begin
+      eat_sym st s_lparen;
+      let e = expr st in
+      eat_sym st s_rparen;
+      Sysfun (x, e)
+    end
+    else if at_sym st s_lbrack then begin
+      advance st;
+      let e = expr st in
+      eat_sym st s_rbrack;
+      Index (x, e)
+    end
+    else Id x
+  end
+  else fail_at st "expected expression"
 
 (* case labels must not swallow the arm's ':' — stop below the ternary *)
-let label_expr st = p_or st
+let label_expr st = binary st 1
 
 let lvalue st =
-  let lline = line_at st in
+  let lline = st.tline in
   let base = ident st in
-  if at_sym st "[" then begin
-    ignore (next st);
+  if at_sym st s_lbrack then begin
+    advance st;
     let e = expr st in
-    eat_sym st "]";
+    eat_sym st s_rbrack;
     { base; index = Some e; lline }
   end
   else { base; index = None; lline }
@@ -336,103 +437,104 @@ let lvalue st =
 let assignment st lv =
   (* lv already consumed; parse ('='|'<=') rhs ';' *)
   let nonblocking =
-    match next st with
-    | Tsym "=" -> false
-    | Tsym "<=" -> true
-    | _ ->
-        st.pos <- st.pos - 1;
-        fail st "expected '=' or '<='"
+    if at_sym st s_assign then false
+    else if at_sym st s_le then true
+    else fail_at st "expected '=' or '<='"
   in
+  advance st;
   let rhs = expr st in
-  eat_sym st ";";
+  eat_sym st s_semi;
   Assign (lv, nonblocking, rhs)
 
 let rec stmt st =
-  match peek st with
-  | Some (Tid "begin") ->
-      ignore (next st);
-      let acc = ref [] in
-      while not (at_kw st "end") do
-        acc := stmt st :: !acc
-      done;
-      eat_kw st "end";
-      Block (List.rev !acc)
-  | Some (Tid "if") ->
-      ignore (next st);
-      eat_sym st "(";
-      let c = expr st in
-      eat_sym st ")";
-      let t = stmt st in
-      if at_kw st "else" then begin
-        ignore (next st);
-        If (c, t, Some (stmt st))
+  if at_kw st "begin" then begin
+    advance st;
+    let acc = ref [] in
+    while not (at_kw st "end") do
+      acc := stmt st :: !acc
+    done;
+    eat_kw st "end";
+    Block (List.rev !acc)
+  end
+  else if at_kw st "if" then begin
+    advance st;
+    eat_sym st s_lparen;
+    let c = expr st in
+    eat_sym st s_rparen;
+    let t = stmt st in
+    if at_kw st "else" then begin
+      advance st;
+      If (c, t, Some (stmt st))
+    end
+    else If (c, t, None)
+  end
+  else if at_kw st "case" then begin
+    advance st;
+    eat_sym st s_lparen;
+    let scrut = expr st in
+    eat_sym st s_rparen;
+    let arms = ref [] in
+    let default = ref None in
+    while not (at_kw st "endcase") do
+      if at_kw st "default" then begin
+        advance st;
+        eat_sym st s_colon;
+        default := Some (stmt st)
       end
-      else If (c, t, None)
-  | Some (Tid "case") ->
-      ignore (next st);
-      eat_sym st "(";
-      let scrut = expr st in
-      eat_sym st ")";
-      let arms = ref [] in
-      let default = ref None in
-      while not (at_kw st "endcase") do
-        if at_kw st "default" then begin
-          ignore (next st);
-          eat_sym st ":";
-          default := Some (stmt st)
-        end
-        else begin
-          let rec labels acc =
-            let l = label_expr st in
-            if at_sym st "," then begin
-              ignore (next st);
-              labels (l :: acc)
-            end
-            else List.rev (l :: acc)
-          in
-          let ls = labels [] in
-          eat_sym st ":";
-          arms := (ls, stmt st) :: !arms
-        end
-      done;
-      eat_kw st "endcase";
-      Case (scrut, List.rev !arms, !default)
-  | Some (Tid "for") ->
-      ignore (next st);
-      eat_sym st "(";
-      let ilv = lvalue st in
-      eat_sym st "=";
-      let ie = expr st in
-      eat_sym st ";";
-      let cond = expr st in
-      eat_sym st ";";
-      let slv = lvalue st in
-      eat_sym st "=";
-      let se = expr st in
-      eat_sym st ")";
-      For (ilv, ie, cond, slv, se, stmt st)
-  | Some (Tid _) -> assignment st (lvalue st)
-  | _ -> fail st "expected statement"
+      else begin
+        let rec labels acc =
+          let l = label_expr st in
+          if at_sym st s_comma then begin
+            advance st;
+            labels (l :: acc)
+          end
+          else List.rev (l :: acc)
+        in
+        let ls = labels [] in
+        eat_sym st s_colon;
+        arms := (ls, stmt st) :: !arms
+      end
+    done;
+    eat_kw st "endcase";
+    Case (scrut, List.rev !arms, !default)
+  end
+  else if at_kw st "for" then begin
+    advance st;
+    eat_sym st s_lparen;
+    let ilv = lvalue st in
+    eat_sym st s_assign;
+    let ie = expr st in
+    eat_sym st s_semi;
+    let cond = expr st in
+    eat_sym st s_semi;
+    let slv = lvalue st in
+    eat_sym st s_assign;
+    let se = expr st in
+    eat_sym st s_rparen;
+    For (ilv, ie, cond, slv, se, stmt st)
+  end
+  else if st.kind = k_id then assignment st (lvalue st)
+  else fail st "expected statement"
 
 (* one declaration's attributes applied to a comma list of names *)
 let decl_names st ~dkind ~dport ~dsigned ~drange =
   let rec go acc =
-    let dline = line_at st in
+    let dline = st.tline in
     let dname = ident st in
     let darray =
-      if at_sym st "[" then begin
-        ignore (next st);
+      if at_sym st s_lbrack then begin
+        advance st;
         let a = expr st in
-        eat_sym st ":";
+        eat_sym st s_colon;
         let b = expr st in
-        eat_sym st "]";
+        eat_sym st s_rbrack;
         Some (a, b)
       end
       else None
     in
     let d = { dname; dsigned; drange; darray; dkind; dport; dline } in
-    if at_sym st "," then begin
-      ignore (next st);
+    if at_sym st s_comma then begin
+      advance st;
       go (d :: acc)
     end
     else List.rev (d :: acc)
@@ -441,70 +543,70 @@ let decl_names st ~dkind ~dport ~dsigned ~drange =
 
 let opt_signed st =
   if at_kw st "signed" then begin
-    ignore (next st);
+    advance st;
     true
   end
   else false
 
 let opt_range st =
-  if at_sym st "[" then begin
-    ignore (next st);
+  if at_sym st s_lbrack then begin
+    advance st;
     let a = expr st in
-    eat_sym st ":";
+    eat_sym st s_colon;
     let b = expr st in
-    eat_sym st "]";
+    eat_sym st s_rbrack;
     Some (a, b)
   end
   else None
 
+(* optional net kind after a port direction; plain ports are wires *)
+let opt_kind st =
+  if at_kw st "wire" then (
+    advance st;
+    Wire)
+  else if at_kw st "reg" then (
+    advance st;
+    Reg)
+  else Wire
+
 (* header port declaration: (input|output) [wire|reg] [signed] [range] name *)
 let port_decl st =
   let dport =
-    match next st with
-    | Tid "input" -> In
-    | Tid "output" -> Out
-    | _ ->
-        st.pos <- st.pos - 1;
-        fail st "expected 'input' or 'output'"
+    if at_kw st "input" then In
+    else if at_kw st "output" then Out
+    else fail_at st "expected 'input' or 'output'"
   in
-  let dkind =
-    if at_kw st "wire" then (
-      ignore (next st);
-      Wire)
-    else if at_kw st "reg" then (
-      ignore (next st);
-      Reg)
-    else Wire
-  in
+  advance st;
+  let dkind = opt_kind st in
   let dsigned = opt_signed st in
   let drange = opt_range st in
-  let dline = line_at st in
+  let dline = st.tline in
   let dname = ident st in
   { dname; dsigned; drange; darray = None; dkind; dport; dline }
 
 let param_binding st =
   eat_kw st "parameter";
   let name = ident st in
-  eat_sym st "=";
+  eat_sym st s_assign;
   (name, expr st)
 
 let instance st imod iline =
   let iparams =
-    if at_sym st "#" then begin
-      ignore (next st);
-      eat_sym st "(";
+    if at_sym st s_hash then begin
+      advance st;
+      eat_sym st s_lparen;
       let rec go acc =
-        eat_sym st ".";
+        eat_sym st s_dot;
         let p = ident st in
-        eat_sym st "(";
+        eat_sym st s_lparen;
         let e = expr st in
-        eat_sym st ")";
-        if at_sym st "," then begin
-          ignore (next st);
+        eat_sym st s_rparen;
+        if at_sym st s_comma then begin
+          advance st;
           go ((p, e) :: acc)
         end
         else begin
-          eat_sym st ")";
+          eat_sym st s_rparen;
           List.rev ((p, e) :: acc)
         end
       in
@@ -513,112 +615,108 @@ let instance st imod iline =
     else []
   in
   let iname = ident st in
-  eat_sym st "(";
+  eat_sym st s_lparen;
   let rec go acc =
-    eat_sym st ".";
+    eat_sym st s_dot;
     let p = ident st in
-    eat_sym st "(";
-    let e = if at_sym st ")" then None else Some (expr st) in
-    eat_sym st ")";
-    if at_sym st "," then begin
-      ignore (next st);
+    eat_sym st s_lparen;
+    let e = if at_sym st s_rparen then None else Some (expr st) in
+    eat_sym st s_rparen;
+    if at_sym st s_comma then begin
+      advance st;
       go ((p, e) :: acc)
     end
     else begin
-      eat_sym st ")";
+      eat_sym st s_rparen;
       List.rev ((p, e) :: acc)
     end
   in
   let iports = go [] in
-  eat_sym st ";";
+  eat_sym st s_semi;
   Instance { imod; iname; iparams; iports; iline }
 
 let item st : item list =
-  let l = line_at st in
-  match peek st with
-  | Some (Tid ("wire" | "reg" | "input" | "output" | "integer")) -> (
-      match next st with
-      | Tid "integer" ->
-          let ds =
-            decl_names st ~dkind:Integer ~dport:Local ~dsigned:true
-              ~drange:None
-          in
-          eat_sym st ";";
-          List.map (fun d -> Decl d) ds
-      | Tid (("wire" | "reg") as k) ->
-          let dkind = if k = "reg" then Reg else Wire in
-          let dsigned = opt_signed st in
-          let drange = opt_range st in
-          let ds = decl_names st ~dkind ~dport:Local ~dsigned ~drange in
-          eat_sym st ";";
-          List.map (fun d -> Decl d) ds
-      | Tid (("input" | "output") as k) ->
-          let dport = if k = "input" then In else Out in
-          let dkind =
-            if at_kw st "wire" then (
-              ignore (next st);
-              Wire)
-            else if at_kw st "reg" then (
-              ignore (next st);
-              Reg)
-            else Wire
-          in
-          let dsigned = opt_signed st in
-          let drange = opt_range st in
-          let ds = decl_names st ~dkind ~dport ~dsigned ~drange in
-          eat_sym st ";";
-          List.map (fun d -> Decl d) ds
-      | _ -> assert false)
-  | Some (Tid ("parameter" | "localparam")) ->
-      ignore (next st);
-      let rec go acc =
-        let name = ident st in
-        eat_sym st "=";
-        let e = expr st in
-        if at_sym st "," then begin
-          ignore (next st);
-          go ((name, e) :: acc)
-        end
-        else begin
-          eat_sym st ";";
-          List.rev ((name, e) :: acc)
-        end
-      in
-      List.map (fun (n, e) -> Param (n, e)) (go [])
-  | Some (Tid "assign") ->
-      ignore (next st);
-      let lv = lvalue st in
-      eat_sym st "=";
+  let l = st.tline in
+  if at_kw st "integer" then begin
+    advance st;
+    let ds =
+      decl_names st ~dkind:Integer ~dport:Local ~dsigned:true ~drange:None
+    in
+    eat_sym st s_semi;
+    List.map (fun d -> Decl d) ds
+  end
+  else if at_kw st "wire" || at_kw st "reg" then begin
+    let dkind = if at_kw st "reg" then Reg else Wire in
+    advance st;
+    let dsigned = opt_signed st in
+    let drange = opt_range st in
+    let ds = decl_names st ~dkind ~dport:Local ~dsigned ~drange in
+    eat_sym st s_semi;
+    List.map (fun d -> Decl d) ds
+  end
+  else if at_kw st "input" || at_kw st "output" then begin
+    let dport = if at_kw st "input" then In else Out in
+    advance st;
+    let dkind = opt_kind st in
+    let dsigned = opt_signed st in
+    let drange = opt_range st in
+    let ds = decl_names st ~dkind ~dport ~dsigned ~drange in
+    eat_sym st s_semi;
+    List.map (fun d -> Decl d) ds
+  end
+  else if at_kw st "parameter" || at_kw st "localparam" then begin
+    advance st;
+    let rec go acc =
+      let name = ident st in
+      eat_sym st s_assign;
       let e = expr st in
-      eat_sym st ";";
-      [ Cassign (lv, e) ]
-  | Some (Tid "always") ->
-      ignore (next st);
-      eat_sym st "@";
-      eat_sym st "(";
-      eat_kw st "posedge";
-      let clk = ident st in
-      eat_sym st ")";
-      [ Always (clk, stmt st) ]
-  | Some (Tid _) -> [ instance st (ident st) l ]
-  | _ -> fail st "expected module item"
+      if at_sym st s_comma then begin
+        advance st;
+        go ((name, e) :: acc)
+      end
+      else begin
+        eat_sym st s_semi;
+        List.rev ((name, e) :: acc)
+      end
+    in
+    List.map (fun (n, e) -> Param (n, e)) (go [])
+  end
+  else if at_kw st "assign" then begin
+    advance st;
+    let lv = lvalue st in
+    eat_sym st s_assign;
+    let e = expr st in
+    eat_sym st s_semi;
+    [ Cassign (lv, e) ]
+  end
+  else if at_kw st "always" then begin
+    advance st;
+    eat_sym st s_at;
+    eat_sym st s_lparen;
+    eat_kw st "posedge";
+    let clk = ident st in
+    eat_sym st s_rparen;
+    [ Always (clk, stmt st) ]
+  end
+  else if st.kind = k_id then [ instance st (ident st) l ]
+  else fail st "expected module item"
 
 let modul st =
-  let mline = line_at st in
+  let mline = st.tline in
   eat_kw st "module";
   let mname = ident st in
   let mparams =
-    if at_sym st "#" then begin
-      ignore (next st);
-      eat_sym st "(";
+    if at_sym st s_hash then begin
+      advance st;
+      eat_sym st s_lparen;
       let rec go acc =
         let p = param_binding st in
-        if at_sym st "," then begin
-          ignore (next st);
+        if at_sym st s_comma then begin
+          advance st;
           go (p :: acc)
         end
         else begin
-          eat_sym st ")";
+          eat_sym st s_rparen;
           List.rev (p :: acc)
         end
       in
@@ -627,42 +725,43 @@ let modul st =
     else []
   in
   let ports = ref [] in
-  if at_sym st "(" then begin
-    ignore (next st);
-    if at_sym st ")" then ignore (next st)
+  let at_dir () = at_kw st "input" || at_kw st "output" in
+  if at_sym st s_lparen then begin
+    advance st;
+    if at_sym st s_rparen then advance st
     else begin
       let rec go () =
         ports := port_decl st :: !ports;
-        if at_sym st "," then begin
-          ignore (next st);
+        if at_sym st s_comma then begin
+          advance st;
           (* a bare name continues the previous declaration's attributes *)
-          match (peek st, peek2 st) with
-          | Some (Tid ("input" | "output")), _ -> go ()
-          | Some (Tid n), (Some (Tsym (")" | ",")) | None) ->
-              ignore (next st);
-              (match !ports with
-              | p :: _ -> ports := { p with dname = n } :: !ports
-              | [] -> fail st "port list cannot start with a bare name");
-              if at_sym st "," then go_bare ()
-          | _ -> go ()
-        end
-      and go_bare () =
-        ignore (next st);
-        match (peek st, peek2 st) with
-        | Some (Tid ("input" | "output")), _ -> go ()
-        | Some (Tid n), _ ->
-            ignore (next st);
+          if at_dir () then go ()
+          else if st.kind = k_id && next_closes_list st then begin
+            let n = ident st in
             (match !ports with
             | p :: _ -> ports := { p with dname = n } :: !ports
-            | [] -> ());
-            if at_sym st "," then go_bare ()
-        | _ -> fail st "expected port declaration"
+            | [] -> fail st "port list cannot start with a bare name");
+            if at_sym st s_comma then go_bare ()
+          end
+          else go ()
+        end
+      and go_bare () =
+        advance st;
+        if at_dir () then go ()
+        else if st.kind = k_id then begin
+          let n = ident st in
+          (match !ports with
+          | p :: _ -> ports := { p with dname = n } :: !ports
+          | [] -> ());
+          if at_sym st s_comma then go_bare ()
+        end
+        else fail st "expected port declaration"
       in
       go ();
-      eat_sym st ")"
+      eat_sym st s_rparen
     end
   end;
-  eat_sym st ";";
+  eat_sym st s_semi;
   let items = ref (List.rev_map (fun d -> Decl d) !ports) in
   while not (at_kw st "endmodule") do
     items := List.rev_append (item st) !items
@@ -671,9 +770,25 @@ let modul st =
   { mname; mparams; mitems = List.rev !items; mline }
 
 let parse (src : string) : design =
-  let st = { toks = lex src; pos = 0 } in
+  let st =
+    {
+      src;
+      n = String.length src;
+      i = 0;
+      line = 1;
+      kind = k_eof;
+      tline = 1;
+      sym = 0;
+      id_off = 0;
+      id_len = 0;
+      num_v = 0;
+      num_w = 0;
+      num_s = false;
+    }
+  in
+  advance st;
   let mods = ref [] in
-  while st.pos < Array.length st.toks do
+  while st.kind <> k_eof do
     mods := modul st :: !mods
   done;
   List.rev !mods

@@ -55,4 +55,33 @@ let registry_tests =
         | _ -> Alcotest.fail "dfadd should not exist");
   ]
 
-let suites = [ ("chstone:registry", registry_tests); ("chstone:kernels", kernel_tests) ]
+(* [evaluate] overlaps the three flows on parallel domains over one
+   shared module; repeated, it must give what the flows give one after
+   the other on a module of their own. *)
+let evaluate_tests =
+  [
+    Alcotest.test_case "jpeg: repeated evaluate equals the sequential flows"
+      `Quick (fun () ->
+        let b = Chstone.find "jpeg" in
+        let m = Twill.compile b.Chstone.source in
+        let sw = Twill.run_pure_sw m in
+        let hw = Twill.run_pure_hw m in
+        let tw = Twill.run_twill_auto m in
+        for round = 1 to 3 do
+          let r = Twill.evaluate ~name:"jpeg" b.Chstone.source in
+          let what s = Printf.sprintf "round %d: %s" round s in
+          Alcotest.(check bool) (what "pure SW") true (r.Twill.sw = sw);
+          Alcotest.(check bool) (what "pure HW") true (r.Twill.hw = hw);
+          Alcotest.(check bool) (what "hybrid") true
+            (r.Twill.twill.Twill.scenario = tw.Twill.scenario);
+          Alcotest.(check int) (what "HW threads") tw.Twill.n_hw_threads
+            r.Twill.twill.Twill.n_hw_threads
+        done);
+  ]
+
+let suites =
+  [
+    ("chstone:registry", registry_tests);
+    ("chstone:evaluate", evaluate_tests);
+    ("chstone:kernels", kernel_tests);
+  ]

@@ -203,9 +203,57 @@ let prop_schedule_legality =
           !ok)
         m.Ir.funcs)
 
+(* --- the cross-run schedule cache ---------------------------------------- *)
+
+(* Schedules a fresh function through the cache and leaves it reachable
+   only from [w]; kept out of line so no register or stack slot of the
+   caller still holds it. *)
+let[@inline never] schedule_weakly (w : Ir.func Weak.t) =
+  let open Ir in
+  let f, _ = straight_line [ Binop (Mul, Cst 3l, Cst 4l); Binop (Add, Reg 0, Cst 1l) ] in
+  ignore (Schedule.cached f);
+  Weak.set w 0 (Some f)
+
+let cache_tests =
+  [
+    Alcotest.test_case "a hit returns the first schedule, a new key does not"
+      `Quick (fun () ->
+        let open Ir in
+        let f, _ = straight_line [ Binop (Mul, Cst 3l, Cst 4l); Load (Cst 0l) ] in
+        let g, _ = straight_line [ Binop (Mul, Cst 3l, Cst 4l); Load (Cst 0l) ] in
+        let first = Schedule.cached f in
+        Alcotest.(check bool) "same func, same key" true (Schedule.cached f == first);
+        let two_banks = { Schedule.no_banking with Schedule.nbanks = 2 } in
+        Alcotest.(check bool) "same key, explicit defaults" true
+          (Schedule.cached ~res:Schedule.default_resources ~modulo:true
+             ~backend:Schedule.Fsm f
+          == first);
+        List.iter
+          (fun (what, s) -> Alcotest.(check bool) what false (s == first))
+          [
+            ("other func, equal body", Schedule.cached g);
+            ( "other resources",
+              Schedule.cached
+                ~res:{ Schedule.default_resources with Schedule.mul = 1 }
+                f );
+            ("no modulo", Schedule.cached ~modulo:false f);
+            ("dataflow", Schedule.cached ~backend:Schedule.Dataflow f);
+            ("two banks", Schedule.cached ~banking:two_banks f);
+          ];
+        Alcotest.(check bool) "two banks hits itself" true
+          (Schedule.cached ~banking:two_banks f
+          == Schedule.cached ~banking:two_banks f));
+    Alcotest.test_case "an entry dies with its function" `Quick (fun () ->
+        let w = Weak.create 1 in
+        schedule_weakly w;
+        Gc.full_major ();
+        Alcotest.(check bool) "function collected" true (Weak.get w 0 = None));
+  ]
+
 let suites =
   [
     ("hls:schedule", schedule_tests);
+    ("hls:cache", cache_tests);
     ("hls:area", area_tests);
     ("hls:power", power_tests);
     ("hls:property", [ QCheck_alcotest.to_alcotest prop_schedule_legality ]);

@@ -159,9 +159,59 @@ let printer_tests =
           [ "global @g"; "func @main"; "store"; "load"; "mul"; "icmp"; "ret" ]);
   ]
 
+(* [recompute_cfg] on a CFG that does not change must never let a
+   concurrent reader see a reachable non-entry block without
+   predecessors: the flows of [Twill.evaluate] run on parallel domains
+   over one module, and [Pdg.build] recomputes its [main]'s CFG. *)
+let cfg_tests =
+  [
+    Alcotest.test_case "preds stay whole while two domains recompute them"
+      `Quick (fun () ->
+        let m = Twill.compile (Twill_chstone.Chstone.find "jpeg").source in
+        let f = Ir.find_func m "main" in
+        Ir.recompute_cfg f;
+        let n = Vec.length f.Ir.blocks in
+        let reach = Array.make n false in
+        let rec visit b =
+          if not reach.(b) then begin
+            reach.(b) <- true;
+            List.iter visit (Ir.succs f b)
+          end
+        in
+        visit f.Ir.entry;
+        let watched =
+          List.filter
+            (fun b -> reach.(b) && b <> f.Ir.entry)
+            (List.init n Fun.id)
+        in
+        Alcotest.(check bool) "blocks to watch" true (List.length watched > 10);
+        (* the reader makes a fixed number of passes; the writers
+           recompute until it is done *)
+        let stop = Atomic.make false in
+        let writer () =
+          Domain.spawn (fun () ->
+              while not (Atomic.get stop) do
+                Ir.recompute_cfg f
+              done)
+        in
+        let w1 = writer () and w2 = writer () in
+        let bad = ref 0 in
+        for _ = 1 to 20_000 do
+          List.iter
+            (fun b -> if (Ir.block f b).Ir.preds = [] then incr bad)
+            watched
+        done;
+        Atomic.set stop true;
+        Domain.join w1;
+        Domain.join w2;
+        let bad = !bad in
+        Alcotest.(check int) "empty preds seen" 0 bad);
+  ]
+
 let suites =
   [
     ("ir:arith", arith_tests);
+    ("ir:cfg", cfg_tests);
     ("ir:verify", verify_tests);
     ("ir:layout", layout_tests);
     ("ir:printer", printer_tests);

@@ -14,6 +14,7 @@ let () =
          Test_cgen.suites;
          Test_vgen.suites;
          Test_vsim.suites;
+         Test_vparse.suites;
          Test_velastic.suites;
          Test_fuzz.suites;
          Test_dse.suites;
