@@ -283,10 +283,9 @@ let cosim_cmd =
           None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Vsim scheduling engine: $(b,compiled), $(b,levelized), \
-             $(b,fixpoint), or $(b,auto) (compiled with fixpoint fallback \
-             on combinational loops).  The run report shows the engine \
-             actually used.")
+            "Vsim scheduling engine: $(b,compiled), $(b,fixpoint), or \
+             $(b,auto) (compiled with fixpoint fallback on combinational \
+             loops).  The run report shows the engine actually used.")
   in
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH_OR_FILE")

@@ -37,6 +37,6 @@ let sim_engine_of_string = of_assoc ~what:"engine" sim_engines
 let vsim_engines : (string * Vsim.engine) list =
   List.map
     (fun e -> (Vsim.engine_name e, e))
-    [ Vsim.Compiled; Vsim.Levelized; Vsim.Fixpoint ]
+    [ Vsim.Compiled; Vsim.Fixpoint ]
 
 let vsim_engine_of_string = of_assoc ~what:"vsim engine" vsim_engines

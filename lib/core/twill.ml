@@ -588,12 +588,13 @@ let evaluate ?(opts = default_options) ?(auto_stages = true) ~(name : string)
    the source program is one observation point: the typed-AST reference
    interpreter, both IR interpreter engines on the raw module, the
    module after each prefix of the pass pipeline, the partitioned
-   cycle-accurate rtsim execution, and vsim RTL co-simulation under a
-   chosen scheduling engine (the default fuzz set pits the compiled
-   engine against its levelized oracle).  [observe] runs one point over
-   one source
-   string and reduces the run to the observables the thesis's
-   correctness argument is about: return value + print trace. *)
+   cycle-accurate rtsim execution, and vsim RTL co-simulation of each
+   RTL lowering under a chosen scheduling engine (the default fuzz set
+   uses the compiled engine; its fixpoint reference is diffed against
+   it in the vsim test suite, not per fuzz case).  [observe] runs one
+   point over one source string and reduces the run to the observables
+   the thesis's correctness argument is about: return value + print
+   trace. *)
 
 type observation = { obs_ret : int32; obs_prints : int32 list }
 
@@ -609,7 +610,7 @@ type observation = { obs_ret : int32; obs_prints : int32 list }
      [Interp.run] builds its decode context per call without mutating
      the module (interp.ml header).
    - [obs_prep] holds the optimised-and-extracted pipeline shared by
-     the last three stages (rtsim, then one cosim per vsim engine).
+     the last three stages (rtsim, then one cosim per RTL backend).
 
    Per-domain because the fuzz campaign fans cases out over a [Par]
    pool; one entry because each case's stages are scanned
@@ -665,7 +666,7 @@ type obs_prep = {
       (* emitted+parsed Verilog of [prep_t] under [prep_opts.backend];
          lazy because the rtsim stage populates the memo without
          needing it, shared because elaboration only reads it (one
-         parse serves both engines) *)
+         parse serves every engine) *)
   prep_design_df : Vparse.design Lazy.t;
       (* the same pipeline under the elastic dataflow lowering — the
          cross-backend observation point ([Obs_velastic]) *)
@@ -747,8 +748,7 @@ let obs_stages : obs_stage list =
   [ Obs_ast; Obs_ir Interp.Tree; Obs_ir Interp.Decoded ]
   @ List.init Pipeline.nstages (fun k -> Obs_opt (k + 1, Interp.Decoded))
   @ [ Obs_opt (Pipeline.nstages, Interp.Tree); Obs_rtsim;
-      Obs_vsim Vsim.Compiled; Obs_vsim Vsim.Levelized;
-      Obs_velastic Vsim.Compiled ]
+      Obs_vsim Vsim.Compiled; Obs_velastic Vsim.Compiled ]
 
 let contains_substr ~sub s =
   let n = String.length s and m = String.length sub in

@@ -15,9 +15,9 @@
 open Twill
 
 (* How far down the stack to go.  Later stages are much slower (vsim
-   co-simulation elaborates and simulates the emitted RTL — under the
-   compiled engine and its levelized differential oracle), so the
-   campaign driver exposes this as [--max-stage]. *)
+   co-simulation elaborates and simulates the emitted RTL of each
+   backend under the compiled engine), so the campaign driver exposes
+   this as [--max-stage]. *)
 type limit = L_ast | L_ir | L_opt | L_rtsim | L_vsim
 
 let limit_to_string = function
@@ -39,7 +39,7 @@ let all_limits = [ L_ast; L_ir; L_opt; L_rtsim; L_vsim ]
 
 (* Which RTL lowerings the vsim-rank stages exercise.  [B_both] (the
    default) makes every RTL-reaching case a cross-backend differential:
-   the FSM cosims and the elastic dataflow cosim all observe the same
+   the FSM cosim and the elastic dataflow cosim both observe the same
    program and any disagreement with the AST reference is a divergence
    attributed to its stage name ("vsim-..." vs "vsim-df-..."). *)
 type backends = B_fsm | B_dataflow | B_both

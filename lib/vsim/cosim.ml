@@ -204,26 +204,21 @@ let diff_arbiter ~seed ~n ~cycles () : int =
   done;
   cycles
 
-(* ---- engine differential: compiled vs levelized vs fixpoint ------------- *)
+(* ---- engine differential: compiled vs fixpoint ------------------------- *)
 
 let diff_engines ?(overrides = []) ?(cycles = 500) ~seed
     (design : Vparse.design) (top : string) : int =
-  (* all three engines under the same stimulus: the compiled engine's
-     optimiser is checked against the naive levelized closures, and both
-     against the fixpoint semantic oracle — state, raised errors, and
-     VCD bytes must agree pairwise every cycle *)
-  let sims =
-    Array.map
-      (fun e -> (Vsim.engine_name e, Vsim.instantiate ~engine:e ~overrides design top))
-      [| Vsim.Compiled; Vsim.Levelized; Vsim.Fixpoint |]
-  in
-  let _, s0 = sims.(0) in
+  (* both engines under the same stimulus: the compiled engine (rank
+     scheduler, activity gating, optimising closure compiler) is checked
+     against the fixpoint reference, which shares none of that — state,
+     raised errors, and VCD bytes must agree every cycle *)
+  let inst e = Vsim.instantiate ~engine:e ~overrides design top in
+  let sc = inst Vsim.Compiled and sf = inst Vsim.Fixpoint in
   let rng = Random.State.make [| seed |] in
   let inputs =
     List.map
-      (fun nm ->
-        (Array.map (fun (_, s) -> Vsim.handle s nm) sims, Vsim.net_width s0 nm))
-      (Vsim.top_inputs s0)
+      (fun nm -> (Vsim.handle sc nm, Vsim.handle sf nm, Vsim.net_width sc nm))
+      (Vsim.top_inputs sc)
   in
   let rand_bits w =
     if w <= 30 then Random.State.int rng (1 lsl w)
@@ -233,59 +228,45 @@ let diff_engines ?(overrides = []) ?(cycles = 500) ~seed
       in
       if w >= 60 then v else v land ((1 lsl w) - 1)
   in
-  let paths =
-    Array.map (fun (nm, _) -> Filename.temp_file ("vsim_" ^ nm) ".vcd") sims
-  in
-  let dumpers =
-    Array.mapi (fun k (_, s) -> Vsim.Vcd.create s paths.(k)) sims
-  in
+  let pc = Filename.temp_file "vsim_compiled" ".vcd"
+  and pf = Filename.temp_file "vsim_fixpoint" ".vcd" in
+  let dc = Vsim.Vcd.create sc pc and df = Vsim.Vcd.create sf pf in
   let cleanup () =
-    Array.iter Vsim.Vcd.close dumpers;
-    Array.iter Sys.remove paths
+    Vsim.Vcd.close dc;
+    Vsim.Vcd.close df;
+    Sys.remove pc;
+    Sys.remove pf
   in
+  let step s = try Vsim.step s; None with Vsim.Sim_error m -> Some m in
   let completed = ref 0 in
   (try
      for cyc = 1 to cycles do
        List.iter
-         (fun (hs, w) ->
+         (fun (hc, hf, w) ->
            let v = rand_bits w in
-           Array.iteri (fun k h -> Vsim.poke_h (snd sims.(k)) h v) hs)
+           Vsim.poke_h sc hc v;
+           Vsim.poke_h sf hf v)
          inputs;
        (* runtime failures (out-of-range writes under random stimulus)
-          are part of the contract too: every engine must raise the same
+          are part of the contract too: both engines must raise the same
           error at the same cycle *)
-       let outcome =
-         Array.map
-           (fun (_, s) -> try Vsim.step s; None with Vsim.Sim_error m -> Some m)
-           sims
-       in
-       let check_pair i j =
-         let ni, _ = sims.(i) and nj, _ = sims.(j) in
-         match (outcome.(i), outcome.(j)) with
-         | None, None -> ()
-         | Some mi, Some mj ->
-             if mi <> mj then
-               fail "%s cycle %d: %s/%s raise differently: %S vs %S" top cyc
-                 ni nj mi mj
-         | Some m, None ->
-             fail "%s cycle %d: only the %s engine raised: %s" top cyc ni m
-         | None, Some m ->
-             fail "%s cycle %d: only the %s engine raised: %s" top cyc nj m
-       in
-       check_pair 0 1;
-       check_pair 1 2;
-       check_pair 0 2;
-       if outcome.(0) <> None then raise Exit;
-       Array.iter Vsim.Vcd.sample dumpers;
-       for i = 0 to Array.length sims - 1 do
-         for j = i + 1 to Array.length sims - 1 do
-           let ni, si = sims.(i) and nj, sj = sims.(j) in
-           match Vsim.compare_state si sj with
-           | Some d ->
-               fail "%s cycle %d: %s/%s engines diverge: %s" top cyc ni nj d
-           | None -> ()
-         done
-       done;
+       (match (step sc, step sf) with
+       | None, None -> ()
+       | Some mc, Some mf ->
+           if mc <> mf then
+             fail "%s cycle %d: compiled/fixpoint raise differently: %S vs %S"
+               top cyc mc mf;
+           raise Exit
+       | Some m, None ->
+           fail "%s cycle %d: only the compiled engine raised: %s" top cyc m
+       | None, Some m ->
+           fail "%s cycle %d: only the fixpoint engine raised: %s" top cyc m);
+       Vsim.Vcd.sample dc;
+       Vsim.Vcd.sample df;
+       (match Vsim.compare_state sc sf with
+       | Some d ->
+           fail "%s cycle %d: compiled/fixpoint engines diverge: %s" top cyc d
+       | None -> ());
        completed := cyc
      done
    with
@@ -293,20 +274,19 @@ let diff_engines ?(overrides = []) ?(cycles = 500) ~seed
   | e ->
       cleanup ();
       raise e);
-  Array.iter Vsim.Vcd.close dumpers;
+  Vsim.Vcd.close dc;
+  Vsim.Vcd.close df;
   let read_all p =
     let ic = open_in_bin p in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
     s
   in
-  let waves = Array.map read_all paths in
-  Array.iter Sys.remove paths;
-  for k = 1 to Array.length waves - 1 do
-    if waves.(k) <> waves.(0) then
-      fail "%s: VCD dumps differ between %s and %s engines" top (fst sims.(0))
-        (fst sims.(k))
-  done;
+  let wc = read_all pc and wf = read_all pf in
+  Sys.remove pc;
+  Sys.remove pf;
+  if wc <> wf then
+    fail "%s: VCD dumps differ between compiled and fixpoint engines" top;
   !completed
 
 (* ---- whole-design co-simulation ----------------------------------------- *)
@@ -316,7 +296,7 @@ type report = {
   rtl_prints : int32 list;
   rtl_cycles : int;
   rtl_engine : string;
-      (* "compiled" | "levelized" | "fixpoint" | "mixed", plus a
+      (* "compiled" | "fixpoint" | "mixed", plus a
          " (comb-loop fallback)" suffix when a compiled/default request
          had to drop to the fixpoint engine *)
   model_ret : int32;

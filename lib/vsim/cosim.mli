@@ -58,14 +58,14 @@ val diff_engines :
   Vparse.design ->
   string ->
   int
-(** [diff_engines ~seed design top] elaborates [top] three times — with
-    the compiled engine, its naive levelized oracle, and the fixpoint
-    semantic oracle — drives all of them with the same seeded random
-    values on every top-level input each cycle, and asserts pairwise
-    identical net and memory state after every step plus byte-identical
-    VCD dumps at the end.  A runtime [Sim_error] under random stimulus
-    must be raised identically by every engine (the run then stops
-    early).  Returns the number of cycles compared.
+(** [diff_engines ~seed design top] elaborates [top] twice — with the
+    compiled engine and with the independent fixpoint reference — drives
+    both with the same seeded random values on every top-level input
+    each cycle, and asserts identical net and memory state after every
+    step plus byte-identical VCD dumps at the end.  A runtime
+    [Sim_error] under random stimulus must be raised identically by
+    both engines (the run then stops early).  Returns the number of
+    cycles compared.
     @raise Cosim_error on any divergence. *)
 
 (** {1 Whole-design co-simulation} *)
@@ -76,7 +76,7 @@ type report = {
   rtl_cycles : int;  (** harness clock cycles until every thread halted *)
   rtl_engine : string;
       (** scheduling engine the RTL instances ran under: ["compiled"],
-          ["levelized"], ["fixpoint"] or ["mixed"], with a
+          ["fixpoint"] or ["mixed"], with a
           [" (comb-loop fallback)"] suffix when a compiled/default
           request had to drop to the fixpoint engine *)
   model_ret : int32;

@@ -265,11 +265,14 @@ let rec advance st =
       advance st
     end
     else if c = '/' && st.i + 1 < n && src.[st.i + 1] = '*' then begin
+      let open_line = st.line in
       st.i <- st.i + 2;
       while st.i + 1 < n && not (src.[st.i] = '*' && src.[st.i + 1] = '/') do
         if src.[st.i] = '\n' then st.line <- st.line + 1;
         st.i <- st.i + 1
       done;
+      if st.i + 1 >= n then
+        raise (Parse_error ("unterminated comment", open_line));
       st.i <- st.i + 2;
       advance st
     end

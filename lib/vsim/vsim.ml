@@ -15,8 +15,8 @@
    operand widths, signedness is the conjunction, shifts take the left
    operand's type, concatenation is self-determined and unsigned.
 
-   Three scheduling engines share the two stores.  The compiled engine
-   (default) runs the levelized schedule over closures produced by an
+   Two scheduling engines share the two stores.  The compiled engine
+   (default) runs a levelized schedule over closures produced by an
    optimising compiler: constant subexpressions are folded at
    elaboration (the fold evaluates the very closure it replaces, so a
    folded value can never disagree with the unfolded one), canonical
@@ -24,14 +24,13 @@
    [(1 lsl w) - 1] per evaluation, constant indices resolve their
    bounds checks at compile time, dense constant-label case statements
    dispatch through a flat thunk array instead of a hashtable, and
-   destination writers are specialised per net.  The levelized engine
-   uses the same rank-order/dirty-worklist scheduler but keeps the
-   naive closure compiler, so it doubles as the differential oracle
-   for the optimising compiler.  The fixpoint engine re-evaluates
-   every assign to convergence; it is the semantic oracle and the
-   automatic fallback for designs whose assign graph has a
-   combinational cycle (an explicitly requested [Compiled] engine
-   falls back too; [Levelized] raises instead).
+   destination writers are specialised per net.  The fixpoint engine
+   re-evaluates every assign to convergence and fires every always
+   body on every edge, over closures from the naive compiler (one
+   [canon] call per node), so it shares neither the scheduler nor the
+   optimiser with the compiled engine: it is the independent
+   differential reference, and the automatic fallback for designs
+   whose assign graph has a combinational cycle.
 
    The levelized scheduler topologically sorts the continuous assigns
    by their read/write net sets at elaboration and keeps a dirty
@@ -121,14 +120,11 @@ let pq_push (q : pqueue) kind i j v =
   b.(off + 3) <- v;
   q.plen <- q.plen + 1
 
-type engine = Compiled | Levelized | Fixpoint
+type engine = Compiled | Fixpoint
 
-let engine_name = function
-  | Compiled -> "compiled"
-  | Levelized -> "levelized"
-  | Fixpoint -> "fixpoint"
+let engine_name = function Compiled -> "compiled" | Fixpoint -> "fixpoint"
 
-(* Levelized scheduler state: [lrun] holds the assign closures in rank
+(* Compiled-engine scheduler state: [lrun] holds the assign closures in rank
    (topological) order, [lnfan] maps a net to the rank positions of the
    assigns reading it, [lwnet.(p)] is position [p]'s destination net.
    [lqueued]/[lnq]/[lqmin] form the assign dirty worklist: positions
@@ -371,12 +367,8 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
   in
   let pq = { pbuf = Array.make 1024 0; plen = 0 } in
   (* which closure compiler to use: the optimising one for [Compiled]
-     (the default), the naive one for the two oracle engines *)
-  let copt =
-    match engine with
-    | Some (Levelized | Fixpoint) -> false
-    | Some Compiled | None -> true
-  in
+     (the default), the naive one for the fixpoint reference *)
+  let copt = engine <> Some Fixpoint in
   (* the scheduling hooks are tied after the engine is built; until then
      the closures below see a no-op worklist *)
   let sdirty = ref true in
@@ -1166,20 +1158,20 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
     gos body;
     List.sort_uniq compare !acc
   in
-  let wnet =
-    Array.map (fun fa -> resolve fa.dsc fa.dlv.P.base fa.aline) cass_arr
-  in
-  let readers = Array.make n [] in
-  Array.iteri
-    (fun a fa ->
-      List.iter (fun r -> readers.(r) <- a :: readers.(r)) (reads_of fa))
-    cass_arr;
-  let preaders = Array.make n [] in
-  Array.iteri
-    (fun k pr ->
-      List.iter (fun r -> preaders.(r) <- k :: preaders.(r)) (proc_reads pr))
-    proc_srcs;
   let build_lev () : lev option =
+    let wnet =
+      Array.map (fun fa -> resolve fa.dsc fa.dlv.P.base fa.aline) cass_arr
+    in
+    let readers = Array.make n [] in
+    Array.iteri
+      (fun a fa ->
+        List.iter (fun r -> readers.(r) <- a :: readers.(r)) (reads_of fa))
+      cass_arr;
+    let preaders = Array.make n [] in
+    Array.iteri
+      (fun k pr ->
+        List.iter (fun r -> preaders.(r) <- k :: preaders.(r)) (proc_reads pr))
+      proc_srcs;
     (* Kahn over the writer→reader multigraph; a leftover node means a
        combinational cycle (self-reads included) *)
     let indeg = Array.make na 0 in
@@ -1243,13 +1235,6 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
   let eng, engv =
     match engine with
     | Some Fixpoint -> (Efix closures, Fixpoint)
-    | Some Levelized -> (
-        match build_lev () with
-        | Some l -> (Elev l, Levelized)
-        | None ->
-            raise
-              (Sim_error
-                 ("combinational loop: " ^ top ^ " cannot be levelized")))
     | Some Compiled | None -> (
         (* comb-loop fallback: fixpoint over the same (optimised)
            closures; engine_of reports the engine actually running *)
@@ -1307,7 +1292,7 @@ let settle (t : t) =
         let p = ref lev.lqmin in
         while lev.lnq > 0 do
           if !p >= np then
-            raise (Sim_error "levelized scheduler: worklist out of order");
+            raise (Sim_error "compiled scheduler: worklist out of order");
           if lev.lqueued.(!p) then begin
             lev.lqueued.(!p) <- false;
             lev.lnq <- lev.lnq - 1;

@@ -32,19 +32,19 @@ type t
     constant leaves are folded at elaboration, canonicalisation masks
     and array bounds with constant indices are precomputed, dense
     constant [case] labels dispatch through a flat thunk table, and
-    destination writers are specialised per net.  [Levelized] is the
-    same scheduler over naively-compiled closures (one [canon] call per
-    node) — kept as the differential oracle for the optimiser.
-    [Fixpoint] is the original engine: re-evaluate every assign until
-    quiescence; kept as the semantic oracle and as the automatic
-    fallback when the assign graph has a combinational cycle (which
-    the levelized rank order cannot express).  All three engines
-    produce identical per-cycle net values and VCD bytes on the
-    single-driver designs the emitters produce. *)
-type engine = Compiled | Levelized | Fixpoint
+    destination writers are specialised per net.  [Fixpoint] is the
+    original engine: naively-compiled closures (one [canon] call per
+    node), every assign re-evaluated until quiescence and every always
+    body fired on every edge.  It shares neither the scheduler nor the
+    optimiser with [Compiled], so it is the independent differential
+    reference, and it is the automatic fallback when the assign graph
+    has a combinational cycle (which the rank order cannot express).
+    Both engines produce identical per-cycle net values and VCD bytes
+    on the single-driver designs the emitters produce. *)
+type engine = Compiled | Fixpoint
 
 val engine_name : engine -> string
-(** ["compiled"], ["levelized"], ["fixpoint"]. *)
+(** ["compiled"], ["fixpoint"]. *)
 
 val instantiate :
   ?engine:engine -> ?overrides:(string * int) list -> Vparse.design ->
@@ -56,10 +56,8 @@ val instantiate :
     reset input high for a cycle to apply declared reset values.
 
     Without [engine] (or with [~engine:Compiled]) the compiled engine
-    is chosen, falling back to the fixpoint oracle if the assign graph
-    is cyclic — {!engine_of} reports the fallback; passing
-    [~engine:Levelized] explicitly instead raises [Sim_error] on a
-    cyclic design. *)
+    is chosen, falling back to the fixpoint reference if the assign
+    graph is cyclic — {!engine_of} reports the fallback. *)
 
 val engine_of : t -> engine
 (** The engine actually in use (reports the fallback). *)
@@ -94,7 +92,7 @@ val handle : t -> string -> handle
 (** @raise Sim_error if the net does not exist. *)
 
 val poke_h : t -> handle -> int -> unit
-(** {!poke} through a handle; an effective change feeds the levelized
+(** {!poke} through a handle; an effective change feeds the compiled
     engine's dirty worklist. *)
 
 val peek_h : t -> handle -> int
@@ -114,8 +112,8 @@ val compare_state : t -> t -> string option
 (** [compare_state a b] compares every net (and memory element) of two
     instances elaborated from the same design; [None] if identical,
     otherwise a description of the first mismatch.  Used by the
-    engine-differential suite to pit the three engines against each
-    other pairwise, cycle by cycle. *)
+    engine-differential suite to pit the compiled engine against the
+    fixpoint reference cycle by cycle. *)
 
 (** VCD waveform dumping for debugging: scalar nets only (memories are
     skipped), one timestep per {!step}. *)

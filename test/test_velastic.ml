@@ -317,7 +317,7 @@ let engine_tests =
           (fun (md : Vparse.modul) ->
             ignore (Cosim.diff_engines ~cycles:120 ~seed:22 d md.Vparse.mname))
           d);
-    Alcotest.test_case "dataflow cosim identical under all three engines"
+    Alcotest.test_case "dataflow cosim identical under both engines"
       `Quick (fun () ->
         let src =
           "int main() { int acc = 0; for (int i = 0; i < 80; i++) { int a = \
@@ -326,7 +326,6 @@ let engine_tests =
         let m = Twill.compile ~opts:opts_df src in
         let t = Twill.extract ~opts:opts_df m in
         let rc = Twill.cosim ~opts:opts_df ~engine:Vsim.Compiled t in
-        let rl = Twill.cosim ~opts:opts_df ~engine:Vsim.Levelized t in
         let rf = Twill.cosim ~opts:opts_df ~engine:Vsim.Fixpoint t in
         List.iter
           (fun (r : Cosim.report) ->
@@ -335,7 +334,7 @@ let engine_tests =
             Alcotest.(check int) "same cycle count" rc.Cosim.rtl_cycles
               r.Cosim.rtl_cycles;
             Alcotest.(check bool) "agrees with rtsim" true r.Cosim.agree)
-          [ rc; rl; rf ]);
+          [ rc; rf ]);
   ]
 
 (* --- three-way differential: rtsim / FSM RTL / dataflow RTL -------------- *)
@@ -532,6 +531,21 @@ let negative_tests =
             | Ok b' -> Alcotest.(check bool) "round-trips" true (b = b')
             | Error e -> Alcotest.fail e)
           Twill.Schedule.all_backends);
+    Alcotest.test_case "vsim_engine_of_string rejects levelized" `Quick
+      (fun () ->
+        (match Twill.Enums.vsim_engine_of_string "levelized" with
+        | Error e ->
+            Alcotest.(check bool) "names the offender" true
+              (contains e "levelized");
+            Alcotest.(check bool) "lists compiled" true (contains e "compiled");
+            Alcotest.(check bool) "lists fixpoint" true (contains e "fixpoint")
+        | Ok _ -> Alcotest.fail "removed engine spelling accepted");
+        List.iter
+          (fun (s, e) ->
+            match Twill.Enums.vsim_engine_of_string s with
+            | Ok e' -> Alcotest.(check bool) "round-trips" true (e = e')
+            | Error m -> Alcotest.fail m)
+          Twill.Enums.vsim_engines);
     Alcotest.test_case "fuzz backends spelling round-trips and rejects" `Quick
       (fun () ->
         List.iter

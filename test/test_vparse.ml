@@ -89,6 +89,9 @@ let negatives =
     (1, "module m (input wire a, b, 3);");
     (2, "module m ();\n  always @(posedge clk) begin x <= 1; end\n");
     (2, "module m ();\n  wire y = 1 ? 2;\nendmodule");
+    (* an unterminated comment must not hide the truncation of an
+       otherwise complete design *)
+    (3, "module m (output wire y);\nendmodule\n/* unterminated\n comment");
   ]
 
 let ast_tests =

@@ -253,12 +253,12 @@ let diff_tests =
           [ (1, 1); (2, 3); (5, 6) ]);
   ]
 
-(* --- three-way engine differential: compiled / levelized / fixpoint ------ *)
+(* --- engine differential: compiled vs the fixpoint reference ------------ *)
 
-let emitted_design src =
+let emitted_design ?backend src =
   let m = Twill.compile ~opts:opts3 src in
   let t = Twill.extract ~opts:opts3 m in
-  Vparse.parse (Twill.Vruntime.emit_design t)
+  Vparse.parse (Twill.Vruntime.emit_design ?backend t)
 
 let diff_all_modules ?(cycles = 200) ~seed (d : Vparse.design) =
   List.iter
@@ -296,16 +296,17 @@ let engine_tests =
              "twill_bus_arbiter"));
     Alcotest.test_case "random netlists lockstep (generated programs)" `Quick
       (fun () ->
+        (* every seed's program goes through the pipeline, so each
+           backend's emitted netlists are really diffed *)
         List.iter
-          (fun seed ->
-            let src = Gen_minic.gen (Random.State.make [| seed |]) in
-            match emitted_design src with
-            | d -> diff_all_modules ~cycles:120 ~seed d
-            | exception _ ->
-                (* a generated program the pipeline rejects is not an
-                   engine question; skip it *)
-                ())
-          [ 101; 202; 303 ]);
+          (fun backend ->
+            List.iter
+              (fun seed ->
+                let src = Gen_minic.gen (Random.State.make [| seed |]) in
+                diff_all_modules ~cycles:120 ~seed
+                  (emitted_design ~backend src))
+              [ 101; 202; 303 ])
+          Twill.Schedule.all_backends);
     Alcotest.test_case "handles agree with the string API" `Quick (fun () ->
         let d =
           Vparse.parse
@@ -319,7 +320,7 @@ let engine_tests =
         Vsim.step i;
         Alcotest.(check int) "peek_h" 42 (Vsim.peek_h i hy);
         Alcotest.(check int) "peek" 42 (Vsim.peek i "y"));
-    Alcotest.test_case "whole-design cosim identical under all three engines"
+    Alcotest.test_case "whole-design cosim identical under both engines"
       `Quick (fun () ->
         let src =
           "int main() { int acc = 0; for (int i = 0; i < 80; i++) { int a = \
@@ -328,10 +329,8 @@ let engine_tests =
         let m = Twill.compile ~opts:opts3 src in
         let t = Twill.extract ~opts:opts3 m in
         let rc = Twill.cosim ~opts:opts3 ~engine:Vsim.Compiled t in
-        let rl = Twill.cosim ~opts:opts3 ~engine:Vsim.Levelized t in
         let rf = Twill.cosim ~opts:opts3 ~engine:Vsim.Fixpoint t in
         Alcotest.(check string) "compiled ran" "compiled" rc.Cosim.rtl_engine;
-        Alcotest.(check string) "levelized ran" "levelized" rl.Cosim.rtl_engine;
         Alcotest.(check string) "fixpoint ran" "fixpoint" rf.Cosim.rtl_engine;
         let rd = Twill.cosim ~opts:opts3 t in
         Alcotest.(check string) "default is compiled" "compiled"
@@ -343,7 +342,7 @@ let engine_tests =
             Alcotest.(check int) "same cycle count" rc.Cosim.rtl_cycles
               r.Cosim.rtl_cycles;
             Alcotest.(check bool) "agrees with rtsim" true r.Cosim.agree)
-          [ rc; rl; rf; rd ]);
+          [ rc; rf; rd ]);
     Alcotest.test_case "combinational cycle raises / falls back" `Quick
       (fun () ->
         let d =
@@ -353,12 +352,8 @@ let engine_tests =
             \  assign a = ~b;\n\
             \  assign b = a & x;\nendmodule"
         in
-        (* forcing the levelized engine on a cyclic graph is an error *)
-        (match Vsim.instantiate ~engine:Vsim.Levelized d "m" with
-        | exception Vsim.Sim_error _ -> ()
-        | _ -> Alcotest.fail "cyclic design levelized");
         (* the default and the explicit compiled engine fall back to the
-           fixpoint oracle, visibly via engine_of... *)
+           fixpoint reference, visibly via engine_of... *)
         let i = Vsim.instantiate d "m" in
         Alcotest.(check bool) "default fell back" true
           (Vsim.engine_of i = Vsim.Fixpoint);
@@ -380,6 +375,58 @@ let chstone_engine_tests =
           let d = emitted_design b.Twill_chstone.Chstone.source in
           diff_all_modules ~cycles:150 ~seed:7 d))
     [ "mips"; "adpcm"; "aes"; "blowfish"; "gsm"; "jpeg"; "motion"; "sha" ]
+
+(* Whole-design cosim under the compiled engine and the fixpoint
+   reference must be indistinguishable: same return value, prints and
+   harness cycle count, for both RTL lowerings of each kernel at its
+   auto-tuned extraction (the designs the cosim benchmark runs). *)
+let chstone_engine_cosim_test =
+  Alcotest.test_case "chstone cosim identical under both engines" `Slow
+    (fun () ->
+      let designs =
+        Array.of_list
+          (List.concat_map
+             (fun name ->
+               List.map (fun bk -> (name, bk)) Twill.Schedule.all_backends)
+             [ "adpcm"; "motion"; "sha" ])
+      in
+      let check (name, backend) =
+        let what =
+          Printf.sprintf "%s/%s: " name (Twill.Schedule.backend_name backend)
+        in
+        let opts = { Twill.default_options with Twill.backend } in
+        let b = Twill_chstone.Chstone.find name in
+        let m = Twill.compile ~opts b.Twill_chstone.Chstone.source in
+        let t = (Twill.run_twill_auto ~opts m).Twill.threaded in
+        (* one parse serves both engines; the rtsim reference runs once,
+           with the compiled engine *)
+        let design = Vparse.parse (Twill.Vruntime.emit_design ~backend t) in
+        let run ?model engine =
+          Cosim.run_threaded ~config:(Twill.sim_config opts) ~engine ?model
+            ~design t
+        in
+        let rc = run Vsim.Compiled and rf = run ~model:false Vsim.Fixpoint in
+        Alcotest.(check string) (what ^ "fixpoint ran") "fixpoint"
+          rf.Cosim.rtl_engine;
+        Alcotest.(check int32) (what ^ "same return") rc.Cosim.rtl_ret
+          rf.Cosim.rtl_ret;
+        Alcotest.(check (list int32)) (what ^ "same prints")
+          rc.Cosim.rtl_prints rf.Cosim.rtl_prints;
+        Alcotest.(check int) (what ^ "same RTL cycles") rc.Cosim.rtl_cycles
+          rf.Cosim.rtl_cycles;
+        Alcotest.(check bool) (what ^ "agrees with rtsim") true rc.Cosim.agree
+      in
+      (* the designs differ ~3x in cost, so two domains pull them off a
+         shared counter rather than splitting the list up front *)
+      let next = Atomic.make 0 in
+      let rec drain () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < Array.length designs then begin
+          check designs.(i);
+          drain ()
+        end
+      in
+      ignore (Twill.Par.map drain [ (); () ]))
 
 let cosim_small src =
   let m = Twill.compile ~opts:opts3 src in
@@ -487,7 +534,8 @@ let suites =
     ("vsim:semantics", sem_tests);
     ("vsim:contracts", contract_tests);
     ("vsim:differential", diff_tests);
-    ("vsim:engines", engine_tests @ chstone_engine_tests);
+    ("vsim:engines",
+      engine_tests @ chstone_engine_tests @ [ chstone_engine_cosim_test ]);
     ("vsim:cosim", cosim_tests);
     ("vsim:chstone", chstone_cosim_tests);
   ]

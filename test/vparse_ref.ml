@@ -122,11 +122,13 @@ let lex (src : string) : (tok * int) array =
         incr i
       done
     else if c = '/' && !i + 1 < n && src.[!i + 1] = '*' then begin
+      let open_line = !line in
       i := !i + 2;
       while !i + 1 < n && not (src.[!i] = '*' && src.[!i + 1] = '/') do
         if src.[!i] = '\n' then incr line;
         incr i
       done;
+      if !i + 1 >= n then raise (Parse_error ("unterminated comment", open_line));
       i := !i + 2
     end
     else if is_ident_start c then begin
